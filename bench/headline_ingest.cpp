@@ -12,8 +12,7 @@
 // scale 0.25 — the server-side coalescing + group-commit pipeline should
 // clear that with a wide margin. VOLAP_INGEST_FLOOR overrides the floor.
 //
-// Diagnostics: VOLAP_COALESCE=0 A/Bs the coalescing pipeline against the
-// per-item path, VOLAP_MIX overrides the insert percentage of the mixed
+// Diagnostics: VOLAP_MIX overrides the insert percentage of the mixed
 // stream (100 = inserts only, 0 = queries only — isolates which side of
 // the 70/30 coupling gates throughput), and VOLAP_BENCH_DEBUG=1 prints
 // client-observed latencies plus per-server routing/coalescing counters.
@@ -67,8 +66,6 @@ int main() {
   opts.workers = 4;
   opts.manager.maxShardItems = n;  // keep the run split-free
   opts.manager.replicationFactor = 1;  // floor measures the unchained path
-  if (const char* env = std::getenv("VOLAP_COALESCE"))
-    opts.server.coalesce = std::strcmp(env, "0") != 0;
   VolapCluster cluster(schema, opts);
   auto client = cluster.makeClient("ingest", 0, 256);
   {

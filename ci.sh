@@ -34,7 +34,16 @@ run_pass asan-ubsan build-asan -DVOLAP_SANITIZE=address,undefined
 # are in the suite above too; this leg keeps the replication data races
 # loud even if the suite is ever filtered down.
 echo "==== [tsan] chaos-replication ===="
-ctest --test-dir build-tsan --output-on-failure -R 'failover' -j "$JOBS"
+ctest --test-dir build-tsan --output-on-failure -R 'Failover' -j "$JOBS"
+
+# Root-swap leg: every single insert reaches Shard::bulkInsert, so two pool
+# threads can bulk-load the same empty shard at once. The concurrent
+# empty-shard case and the ingest-coalescing suite rerun under TSan until
+# one fails, keeping a freed-root race loud.
+echo "==== [tsan] concurrent bulk load ===="
+ctest --test-dir build-tsan --output-on-failure \
+  -R 'ConcurrentBulkInsertsIntoEmptyShard|IngestCoalesce' \
+  --repeat until-fail:20 -j "$JOBS"
 
 echo "==== [release] configure ===="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release

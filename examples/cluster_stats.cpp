@@ -8,8 +8,9 @@
 //
 // Exit status is the contract the CI stats leg enforces: nonzero if any
 // node fails to answer kStats, any required metric name is missing from a
-// scrape (schema drift), or the freshness-lag histogram stayed empty /
-// zero at p99 (tracing plumbing broke).
+// scrape (schema drift), the freshness-lag histogram stayed empty / zero
+// at p99, or a server's query-trace histogram stayed empty (tracing
+// plumbing broke).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,8 +41,9 @@ int main(int argc, char** argv) {
   opts.traceSampleEveryN = 4;  // dense sampling: this run is short
   VolapCluster cluster(schema, opts);
 
-  // Mixed workload: pipelined inserts with aggregate queries riding along,
-  // one client per server so every server's stage histograms fill up.
+  // Mixed workload: pipelined inserts with aggregate queries riding along
+  // (one query per 25 inserts on every client), one client per server so
+  // every server's stage histograms fill up.
   std::vector<std::unique_ptr<Client>> clients;
   for (unsigned s = 0; s < cluster.serverCount(); ++s)
     clients.push_back(
@@ -53,7 +55,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < n; ++i) {
     Client& c = *clients[i % clients.size()];
     c.insertAsync(gen.next());
-    if (i % 50 == 49) {
+    if ((i / clients.size()) % 25 == 24) {
       c.queryAsync(qgen.random(sample));
       ++queries;
     }
@@ -106,9 +108,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Liveness guard: on servers, freshness lag must have real samples —
-    // an empty or all-zero histogram means the trace plumbing broke even
-    // though the name survived.
+    // Liveness guard: on servers, freshness lag and query totals must have
+    // real samples — an empty or all-zero histogram means the trace
+    // plumbing broke even though the name survived.
     if (r.node.rfind("server/", 0) == 0) {
       const HistogramStats* lag =
           r.snapshot.findHistogram("ingest.freshness_lag_ns");
@@ -119,6 +121,13 @@ int main(int argc, char** argv) {
                      r.node.c_str(),
                      static_cast<unsigned long long>(lag ? lag->count : 0),
                      static_cast<unsigned long long>(lag ? lag->p99 : 0));
+        ++failures;
+      }
+      const HistogramStats* query =
+          r.snapshot.findHistogram("trace.query.total_ns");
+      if (query == nullptr || query->count == 0) {
+        std::fprintf(stderr, "FAIL: %s query-trace histogram empty\n",
+                     r.node.c_str());
         ++failures;
       }
     }

@@ -32,7 +32,8 @@ class Client {
 
   const std::string& serverEndpointName() const { return serverEp_; }
 
-  /// Sample every Nth insert/query into a distributed trace (0 = off).
+  /// Sample every Nth insert and every Nth query into a distributed trace
+  /// (0 = off); each op kind keeps its own count.
   /// The sampled request carries a trace id + kClientSend stamp; servers
   /// and workers append their own hop stamps as it travels (see
   /// common/trace.hpp). Retransmissions never carry the trace — a trace
@@ -116,7 +117,11 @@ class Client {
   Rng rng_;
   std::uint64_t nextCorr_ = 1;
   unsigned traceEveryN_ = 0;
-  std::uint64_t sampleTick_ = 0;
+  // One sampling counter per op kind: a shared one can alias with a
+  // periodic insert/query mix so one kind is never traced (25 inserts per
+  // query with N = 4 never traces a query).
+  std::uint64_t insertTick_ = 0;
+  std::uint64_t queryTick_ = 0;
   std::uint64_t nextTraceId_;  // seeded per client name, never 0
   std::uint64_t tracesStarted_ = 0;
   std::unordered_map<std::uint64_t, Outstanding> outstanding_;

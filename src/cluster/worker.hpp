@@ -185,7 +185,6 @@ class Worker {
 
   void serve();
   void handleStats(const Message& m);
-  void handleInsert(const Message& m);
   void handleQuery(const Message& m);
   void handleBulk(const Message& m);
   void handleCreateShard(const Message& m);
@@ -235,7 +234,7 @@ class Worker {
                         std::vector<std::shared_ptr<DeferredAck>> acks);
   /// The gate itself: true when it is now safe to release (image entry
   /// absent, replicas already empty, epoch moved past `epoch` — servers
-  /// reject stale-epoch insert acks — or our CAS cleared the replicas).
+  /// reject stale-epoch bulk acks — or our CAS cleared the replicas).
   bool clearChainInImage(ShardId shard, std::uint64_t epoch);
   /// A kReplSeed retransmission budget ran out: remove the member from the
   /// chain (drop the whole chain — a partial chain would under-replicate

@@ -159,7 +159,8 @@ class DurableLog {
     std::lock_guard lock(r->mu);
     if (epoch < r->epoch) return false;
     r->epoch = epoch;
-    r->wal.reserve(r->wal.size() + recs.size());
+    // No reserve(size() + n): an exact-fit reserve per group defeats the
+    // vector's geometric growth and would move the whole tail every time.
     for (auto& rec : recs) r->wal.push_back(std::move(rec));
     return true;
   }

@@ -83,17 +83,27 @@ class ShardTree final : public Shard {
     }
     // Hilbert-sorted bottom-up packing: the bulk-ingestion path behind the
     // paper's ">400 thousand items per second" headline (SIV-C). Requires
-    // no concurrent inserts (enforced by holding the root lock).
-    Node* oldRoot = lockRootExclusive();
-    if (!oldRoot->leaf || leafCount(*oldRoot) != 0) {
-      oldRoot->lock.unlock();  // data raced in; fall back to batch inserts
+    // no concurrent inserts (enforced by holding the root lock). The packed
+    // tree is built into the EXISTING root node, so root_ never changes
+    // here: another thread may be waiting on this root's lock right now,
+    // and the node it waits on must stay alive.
+    Node* root = lockRootExclusive();
+    if (!root->leaf || leafCount(*root) != 0) {
+      root->lock.unlock();  // data raced in; fall back to batch inserts
       bulkInsertSorted(items);
       return;
     }
-    Node* newRoot = buildPacked(items);
-    root_.store(newRoot, std::memory_order_release);
-    oldRoot->lock.unlock();
-    freeTree(oldRoot);
+    Node* packed = buildPacked(items);
+    root->leaf = packed->leaf;
+    root->childKeys = std::move(packed->childKeys);
+    root->childAggs = std::move(packed->childAggs);
+    root->childMaxH = std::move(packed->childMaxH);
+    root->children = std::move(packed->children);
+    root->cols = std::move(packed->cols);
+    root->measures = std::move(packed->measures);
+    root->hkeys = std::move(packed->hkeys);
+    root->lock.unlock();
+    delete packed;  // an emptied shell: its subtree now hangs off root
     // Fold the whole batch into a local key first so boundsLock_ is taken
     // once, not once per item.
     MdsKey batchBounds;

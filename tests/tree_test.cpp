@@ -5,6 +5,8 @@
 // Deserialize) are exercised end to end.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -222,6 +224,34 @@ TEST_P(ShardKindSweep, ConcurrentInsertsAndQueriesAreSafe) {
   EXPECT_EQ(shard->query(QueryBox(schema)).count,
             static_cast<std::uint64_t>(kWriters) * kPerWriter);
   checkTreeInvariants(*shard);
+}
+
+TEST_P(ShardKindSweep, ConcurrentBulkInsertsIntoEmptyShardKeepEveryItem) {
+  // Two appliers race their first batches into one empty shard, as two
+  // worker pool threads do with coalesced batches for a fresh shard: both
+  // may take the empty-tree bulk-load path at once, and the loser waits on
+  // the root's lock while the winner packs its batch. That root must stay
+  // alive, and the loser's batch must land on top of the winner's.
+  const Schema schema = Schema::tpcds();
+  DataGenerator gen(schema, 600);
+  const PointSet left = gen.generate(64);
+  const PointSet right = gen.generate(64);
+  const std::uint64_t want = left.size() + right.size();
+  for (int round = 0; round < 300; ++round) {
+    auto shard = makeShard(GetParam(), schema);
+    std::atomic<int> ready{0};
+    auto apply = [&](const PointSet& batch) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      shard->bulkInsert(batch);
+    };
+    std::thread a(apply, std::cref(left));
+    std::thread b(apply, std::cref(right));
+    a.join();
+    b.join();
+    ASSERT_EQ(shard->size(), want) << "round " << round;
+    ASSERT_EQ(shard->query(QueryBox(schema)).count, want) << "round " << round;
+  }
 }
 
 TEST_P(ShardKindSweep, ManyDimensionsSmoke) {
